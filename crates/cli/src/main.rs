@@ -31,10 +31,6 @@
 //!   --sim-threads N      replay worker threads (0 = all cores;
 //!                        default 1 = sequential; capped at the
 //!                        machine's available parallelism)
-//!   --sim-batch N        SoA batch width for replay (0 = scalar, the
-//!                        default; batch-unsafe programs fall back to
-//!                        the scalar loop; replay reports the width
-//!                        that actually ran)
 //!   --timings            print the per-pass compile trace (wall time,
 //!                        artifact sizes, cache hits)
 //!   --json-diagnostics   also emit diagnostics as one stable-schema JSON
@@ -71,7 +67,6 @@ struct Args {
     sim: Option<u64>,
     sim_backend: Backend,
     sim_threads: usize,
-    sim_batch: usize,
     timings: bool,
     json_diagnostics: bool,
 }
@@ -114,7 +109,7 @@ fn usage() -> &'static str {
      [--target tofino|paper-eval|paper-example|small] \
      [--stages N] [--memory BITS] [--stateful-alus N] [--stateless-alus N] \
      [--phv BITS] [--emit p4|layout|stats|all] [--out FILE] [--threads N] [--greedy] \
-     [--sim N] [--sim-backend interp|compiled|native] [--sim-threads N] [--sim-batch N] \
+     [--sim N] [--sim-backend interp|compiled|native] [--sim-threads N] \
      [--timings] [--json-diagnostics]"
 }
 
@@ -129,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
     let mut sim = None;
     let mut sim_backend = Backend::Compiled;
     let mut sim_threads = 1usize;
-    let mut sim_batch = 0usize;
     let mut timings = false;
     let mut json_diagnostics = false;
 
@@ -206,11 +200,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--sim-threads needs an integer".to_string())?;
             }
-            "--sim-batch" => {
-                sim_batch = next(&mut i, "--sim-batch")?
-                    .parse()
-                    .map_err(|_| "--sim-batch needs an integer".to_string())?;
-            }
             "--help" | "-h" => return Err(usage().to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{}", usage()))
@@ -251,7 +240,6 @@ fn parse_args() -> Result<Args, String> {
         sim,
         sim_backend,
         sim_threads,
-        sim_batch,
         timings,
         json_diagnostics,
     })
@@ -416,12 +404,11 @@ fn run(args: Args) -> Result<(), Failure> {
         }
         sim_switch = Some(sw);
     }
-    // Replay before --timings renders: the replay's batch width and
-    // pipeline-overlap occupancy are recorded into the compile trace.
+    // Replay before --timings renders: the replay's pipeline-overlap
+    // occupancy is recorded into the compile trace.
     let mut replay_stats = None;
     if let Some(packets) = args.sim {
         let mut sw = sim_switch.take().expect("built above when --sim is set");
-        sw.set_batch_width(args.sim_batch);
         let trace = synth_trace(&sw, packets);
         let stats = sw.run_trace(&trace, args.sim_threads);
         c.trace.record(
@@ -429,10 +416,9 @@ fn run(args: Args) -> Result<(), Failure> {
             false,
             stats.elapsed,
             format!(
-                "{} pkts, {} thread(s), batch width {}, occupancy {:.0}%",
+                "{} pkts, {} thread(s), occupancy {:.0}%",
                 stats.packets,
                 stats.threads,
-                stats.batch_width,
                 100.0 * stats.overlap_occupancy
             ),
         );
@@ -487,20 +473,13 @@ fn run(args: Args) -> Result<(), Failure> {
         // Sharded replay always runs the bytecode engine; the backend
         // choice only steers single-threaded execution.
         let engine = if stats.threads > 1 { Backend::Compiled } else { args.sim_backend };
-        let batch = if stats.batch_width >= 2 {
-            format!(", batch width {}", stats.batch_width)
-        } else if args.sim_batch >= 2 {
-            ", scalar fallback (program is not batch-safe)".to_string()
-        } else {
-            String::new()
-        };
         let occupancy = if stats.threads > 1 {
             format!(", occupancy {:.0}%", 100.0 * stats.overlap_occupancy)
         } else {
             String::new()
         };
         println!(
-            "replay: {} packets, {} dropped, {} thread(s), {:.0} pkts/sec ({engine:?} backend{batch}{occupancy})",
+            "replay: {} packets, {} dropped, {} thread(s), {:.0} pkts/sec ({engine:?} backend{occupancy})",
             stats.packets,
             stats.dropped,
             stats.threads,
@@ -545,15 +524,14 @@ fn run(args: Args) -> Result<(), Failure> {
             cc.strong_branch_lps
         );
         match &replay_stats {
-            // And a `replay` object when --sim ran, exposing the batch
-            // width and pipeline-overlap occupancy.
+            // And a `replay` object when --sim ran, exposing the
+            // pipeline-overlap occupancy.
             Some(s) => {
                 println!(
-                    "{out},\"replay\":{{\"packets\":{},\"dropped\":{},\"threads\":{},\"batch_width\":{},\"overlap_occupancy\":{:.3},\"pkts_per_sec\":{:.0}}}}}",
+                    "{out},\"replay\":{{\"packets\":{},\"dropped\":{},\"threads\":{},\"overlap_occupancy\":{:.3},\"pkts_per_sec\":{:.0}}}}}",
                     s.packets,
                     s.dropped,
                     s.threads,
-                    s.batch_width,
                     s.overlap_occupancy,
                     s.pkts_per_sec()
                 );

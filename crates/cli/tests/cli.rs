@@ -111,20 +111,32 @@ fn sim_threads_shards_the_replay() {
 }
 
 #[test]
-fn sim_batch_reports_batched_replay() {
+fn replay_json_object_keeps_its_fields() {
     let out = bin()
         .arg(example("cms.p4all"))
         .args(["--target", "paper-example", "--emit", "layout"])
-        .args(["--sim", "2000", "--sim-batch", "32", "--json-diagnostics"])
+        .args(["--sim", "2000", "--json-diagnostics"])
         .output()
         .expect("p4allc runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // The CMS example is batch-safe, so the requested width runs (the
-    // human line and the JSON replay object both expose it).
-    assert!(stdout.contains("batch width 32"), "{stdout}");
-    assert!(stdout.contains("\"batch_width\":32"), "{stdout}");
-    assert!(stdout.contains("\"overlap_occupancy\":"), "{stdout}");
+    let replay = stdout.split("\"replay\":{").nth(1).expect("replay object");
+    for key in ["packets", "dropped", "threads", "overlap_occupancy", "pkts_per_sec"] {
+        assert!(replay.contains(&format!("\"{key}\":")), "missing `{key}` in: {stdout}");
+    }
+    assert!(replay.starts_with("\"packets\":2000,\"dropped\":0,\"threads\":1,"), "{stdout}");
+}
+
+#[test]
+fn sim_batch_is_an_unknown_flag() {
+    let out = bin()
+        .arg(example("cms.p4all"))
+        .args(["--sim", "10", "--sim-batch", "4"])
+        .output()
+        .expect("p4allc runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }
 
 #[test]

@@ -98,7 +98,6 @@ pub const KNOWN_KINDS: &[&str] = &[
     "sim-registers",
     "sim-replay1",
     "sim-sharded",
-    "sim-batched",
     "native-diverge-build",
     "native-diverge-status",
     "native-diverge-phv",
@@ -680,11 +679,9 @@ fn sim_phase_inner(
 
     // Whole-trace replay must reproduce the lockstep result: 1 shard on
     // the interpreter, 4 shards (flow-hash partitioning + delta-sum
-    // register merge) on the bytecode engine, SoA batch mode (width 64)
-    // on the bytecode engine, and 1 shard again on the native engine
-    // (threads > 1 always runs bytecode, so 1 shard is the native replay
-    // path). The batched pass reuses the compiled switch after the sharded
-    // pass, so it cannot live in the same borrow list.
+    // register merge) on the bytecode engine, and 1 shard again on the
+    // native engine (threads > 1 always runs bytecode, so 1 shard is the
+    // native replay path).
     let run_replay = |label: &str,
                       sw: &mut Switch,
                       threads: usize|
@@ -723,12 +720,6 @@ fn sim_phase_inner(
     };
     run_replay("sim-replay1", &mut interp, 1)?;
     run_replay("sim-sharded", &mut fast, 4)?;
-    // Batched replay falls back to scalar when the program is not
-    // batch-safe; both paths must still reproduce the lockstep result.
-    fast.set_batch_width(64);
-    let batched = run_replay("sim-batched", &mut fast, 1);
-    fast.set_batch_width(0);
-    batched?;
     if let Some(nat) = native.as_mut() {
         run_replay("native-diverge-replay", nat, 1)?;
     }

@@ -149,9 +149,6 @@ pub struct Switch {
     pub(crate) stage_cost: Vec<u64>,
     /// Running statement counter backing `stage_cost` on the interp path.
     stmt_count: u64,
-    /// Requested SoA batch width for trace replay (0 = scalar). See
-    /// [`Switch::set_batch_width`].
-    pub(crate) batch_width: usize,
     // ---- native backend state ----
     /// The loaded native pipeline, if [`Backend::Native`] has been
     /// prepared (lazily on first packet or via
@@ -219,7 +216,6 @@ impl Switch {
             undo: Vec::new(),
             stage_cost: Vec::new(),
             stmt_count: 0,
-            batch_width: 0,
             native: None,
         };
 
@@ -315,34 +311,6 @@ impl Switch {
     /// Currently selected execution backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Request SoA batch execution for [`Switch::run_trace`]: packets are
-    /// gathered into `width`-lane column-major batches and each bytecode
-    /// instruction runs over all lanes before the next dispatch (the
-    /// native backend instead amortizes FFI with a batched entry point).
-    /// `0` (the default) and `1` select the scalar per-packet loop.
-    /// Batched replay is bit-identical to scalar replay; programs whose
-    /// register access pattern rules out instruction-major execution fall
-    /// back to the scalar loop automatically (see
-    /// [`SimStats::batch_width`](crate::SimStats) for what actually ran).
-    pub fn set_batch_width(&mut self, width: usize) {
-        self.batch_width = width;
-    }
-
-    /// Requested SoA batch width (0 = scalar).
-    pub fn batch_width(&self) -> usize {
-        self.batch_width
-    }
-
-    /// Whether the bytecode engine can execute this program in SoA batch
-    /// mode: every register any packet writes must be confined to a
-    /// single top-level statement (one "atom"), so running an
-    /// instruction across all lanes before the next instruction cannot
-    /// reorder one packet's read of another packet's write. Programs that
-    /// fail the analysis silently fall back to the scalar loop.
-    pub fn batch_safe(&self) -> bool {
-        self.compiled.batch_safe
     }
 
     // -------------------------------------------------------- compilation

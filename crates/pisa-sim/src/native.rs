@@ -104,10 +104,6 @@ type VersionFn = unsafe extern "C" fn() -> u64;
 type NewFn = unsafe extern "C" fn() -> *mut c_void;
 type FreeFn = unsafe extern "C" fn(*mut c_void);
 type RunFn = unsafe extern "C" fn(*mut c_void, *mut u64, *const *mut u64, *mut u64) -> u64;
-/// `p4n_run_batch(state, phvs, n, regs, fault) -> first faulting index
-/// (== n on success)`: `n` packets back to back, one FFI call.
-type BatchRunFn =
-    unsafe extern "C" fn(*mut c_void, *mut u64, u64, *const *mut u64, *mut u64) -> u64;
 type InstallFn =
     unsafe extern "C" fn(*mut c_void, u64, *const u64, u64, u64, *const u64, u64);
 type RemoveFn = unsafe extern "C" fn(*mut c_void, u64, *const u64, u64);
@@ -209,7 +205,6 @@ pub(crate) struct NativeEngine {
     handle: *mut c_void,
     state: *mut c_void,
     run: RunFn,
-    run_batch: BatchRunFn,
     install_fn: InstallFn,
     remove_fn: RemoveFn,
     clear_fn: ClearFn,
@@ -307,7 +302,7 @@ impl Switch {
         }
 
         let engine = match unsafe { Self::link_engine(handle) } {
-            Ok((run, run_batch, install_fn, remove_fn, clear_fn, free_fn, new_fn)) => {
+            Ok((run, install_fn, remove_fn, clear_fn, free_fn, new_fn)) => {
                 let state = unsafe { new_fn() };
                 if state.is_null() {
                     unsafe { dlclose(handle) };
@@ -318,7 +313,6 @@ impl Switch {
                     handle,
                     state,
                     run,
-                    run_batch,
                     install_fn,
                     remove_fn,
                     clear_fn,
@@ -365,22 +359,20 @@ impl Switch {
     #[allow(clippy::type_complexity)]
     unsafe fn link_engine(
         handle: *mut c_void,
-    ) -> Result<(RunFn, BatchRunFn, InstallFn, RemoveFn, ClearFn, FreeFn, NewFn), NativeError>
+    ) -> Result<(RunFn, InstallFn, RemoveFn, ClearFn, FreeFn, NewFn), NativeError>
     {
         let version: VersionFn = std::mem::transmute(resolve(handle, "p4n_abi_version")?);
         let got = version();
-        // v2 added the batched entry point `p4n_run_batch`.
-        if got != 2 {
-            return Err(NativeError::Load(format!("ABI version mismatch: got {got}, want 2")));
+        if got != 3 {
+            return Err(NativeError::Load(format!("ABI version mismatch: got {got}, want 3")));
         }
         let run: RunFn = std::mem::transmute(resolve(handle, "p4n_run_packet")?);
-        let run_batch: BatchRunFn = std::mem::transmute(resolve(handle, "p4n_run_batch")?);
         let install_fn: InstallFn = std::mem::transmute(resolve(handle, "p4n_install")?);
         let remove_fn: RemoveFn = std::mem::transmute(resolve(handle, "p4n_remove")?);
         let clear_fn: ClearFn = std::mem::transmute(resolve(handle, "p4n_clear_table")?);
         let free_fn: FreeFn = std::mem::transmute(resolve(handle, "p4n_free")?);
         let new_fn: NewFn = std::mem::transmute(resolve(handle, "p4n_new")?);
-        Ok((run, run_batch, install_fn, remove_fn, clear_fn, free_fn, new_fn))
+        Ok((run, install_fn, remove_fn, clear_fn, free_fn, new_fn))
     }
 
     /// Execute one packet on the native engine, mapping the 4-word fault
@@ -425,62 +417,6 @@ impl Switch {
                 Err(SimError::BadProgram(format!("native engine returned unknown fault code {other}")))
             }
         }
-    }
-
-    /// Batched native trace replay: packets are packed back to back and
-    /// executed through `p4n_run_batch`, one FFI call per `width`-packet
-    /// batch instead of one per packet. Returns the drop count, or
-    /// `None` when the native engine can't be prepared (the caller's
-    /// scalar loop then reproduces the per-packet error path exactly).
-    ///
-    /// A fault inside a batch is resumed after: the generated code rolls
-    /// the faulting packet's register writes back and reports its index,
-    /// and execution continues at the next packet — identical drop and
-    /// state semantics to the scalar loop.
-    pub(crate) fn run_trace_native_batched(
-        &mut self,
-        trace: &[crate::state::Phv],
-        width: usize,
-    ) -> Option<u64> {
-        let stride = self.masks.len();
-        if stride == 0 {
-            return None;
-        }
-        if self.native.is_none() && self.prepare_native().is_err() {
-            return None;
-        }
-        let engine = self.native.as_ref().expect("prepared above");
-        let mut buf: Vec<u64> = vec![0; width * stride];
-        let mut fault = [0u64; 4];
-        let mut dropped = 0u64;
-        for chunk in trace.chunks(width) {
-            let n = chunk.len();
-            for (i, p) in chunk.iter().enumerate() {
-                buf[i * stride..(i + 1) * stride].copy_from_slice(&p.slots);
-            }
-            let mut start = 0usize;
-            while start < n {
-                let ret = unsafe {
-                    (engine.run_batch)(
-                        engine.state,
-                        buf.as_mut_ptr().add(start * stride),
-                        (n - start) as u64,
-                        engine.reg_ptrs.as_ptr(),
-                        fault.as_mut_ptr(),
-                    )
-                } as usize;
-                if ret == n - start {
-                    break;
-                }
-                dropped += 1;
-                start += ret + 1;
-            }
-            // The batch ran in place: the last row is the final PHV (on a
-            // fault it holds the partially-executed PHV, exactly like the
-            // scalar path leaves `cur`).
-            self.cur.slots.copy_from_slice(&buf[(n - 1) * stride..n * stride]);
-        }
-        Some(dropped)
     }
 }
 

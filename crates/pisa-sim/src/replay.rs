@@ -1,4 +1,4 @@
-//! Batched, sharded trace replay.
+//! Sharded trace replay.
 //!
 //! [`Switch::run_trace`] replays a whole packet trace through the
 //! pipeline at once. With one thread it runs in place (honoring the
@@ -10,19 +10,6 @@
 //! extra gather and merge work used to cost ~2% versus sequential on a
 //! small box), so an oversubscribed request degrades to the capped
 //! configuration instead of below the sequential path.
-//!
-//! **SoA batches** ([`Switch::set_batch_width`]): when a batch width is
-//! requested and the program admits it (see
-//! `compiled::analyze_batch_safety`), the bytecode engine gathers
-//! packets into column-major structure-of-arrays batches and runs each
-//! instruction over all lanes before the next dispatch — one tight
-//! stride-1 loop per instruction instead of one full dispatch loop per
-//! packet. Batched replay is bit-identical to scalar replay (enforced by
-//! `tests/batch_equivalence.rs` and the fuzz oracle); a lane fault rolls
-//! the whole batch back and replays it scalar, so per-packet drop and
-//! rollback semantics are preserved exactly. The native backend instead
-//! uses its batched FFI entry point (`p4n_run_batch`), amortizing the
-//! per-packet call and fault-word traffic.
 //!
 //! The sharded front end is **pipelined**: the main thread flow-hashes
 //! and gathers chunk `k + 1` into contiguous per-worker segments while
@@ -59,9 +46,9 @@
 
 use std::time::{Duration, Instant};
 
-use crate::compiled::{self, BatchCtx, ExecCtx};
-use crate::interp::{splitmix, Backend, RegUndo, Switch};
-use crate::state::{gather_lane, scatter_lane, Phv, RegState};
+use crate::compiled::{self, ExecCtx};
+use crate::interp::{splitmix, RegUndo, Switch};
+use crate::state::{Phv, RegState};
 
 /// Packets hashed and gathered per pipeline step of the sharded front
 /// end: small enough that the gather of chunk `k + 1` overlaps the
@@ -78,11 +65,6 @@ pub struct SimStats {
     /// Shards executed (the request is capped at `available_parallelism`
     /// and the trace length; the merged result is identical either way).
     pub threads: usize,
-    /// SoA batch width the replay actually executed with: `0` means the
-    /// scalar per-packet loop ran — either no width was requested
-    /// ([`Switch::set_batch_width`]) or the program's register access
-    /// pattern forced the scalar fallback.
-    pub batch_width: usize,
     /// Fraction of the replay workers' wall-clock spent executing
     /// packets (versus waiting on the pipelined gather front end),
     /// averaged over workers. `1.0` for single-threaded replay.
@@ -134,9 +116,6 @@ struct Worker<'a> {
     regs: Vec<RegState>,
     cur: Phv,
     ctx: ExecCtx,
-    bctx: BatchCtx,
-    /// Effective SoA batch width (`>= 2` selects the batched path).
-    width: usize,
     undo: Vec<RegUndo>,
     stage_cost: Vec<u64>,
     dropped: u64,
@@ -149,7 +128,6 @@ impl<'a> Worker<'a> {
         base: &[RegState],
         masks: &[u64],
         stages: usize,
-        width: usize,
     ) -> Worker<'a> {
         Worker {
             prog,
@@ -157,8 +135,6 @@ impl<'a> Worker<'a> {
             regs: base.to_vec(),
             cur: Phv::new(masks.to_vec()),
             ctx: ExecCtx::for_program(prog),
-            bctx: BatchCtx::default(),
-            width,
             undo: Vec::new(),
             stage_cost: vec![0; stages],
             dropped: 0,
@@ -190,47 +166,8 @@ impl<'a> Worker<'a> {
     /// Run one gathered segment: `inputs` holds the packets' slot vectors
     /// back to back, `stride` slots per packet.
     fn run_packed(&mut self, inputs: &[u64], stride: usize) {
-        if self.width >= 2 && stride > 0 {
-            let rows = inputs.len() / stride;
-            let mut row = 0;
-            while row < rows {
-                let n = self.width.min(rows - row);
-                self.run_batch_rows(&inputs[row * stride..(row + n) * stride], stride, n);
-                row += n;
-            }
-        } else {
-            for slots in inputs.chunks_exact(stride) {
-                self.step(slots);
-            }
-        }
-    }
-
-    /// One SoA batch of `n` packets stored back to back in `rows`.
-    fn run_batch_rows(&mut self, rows: &[u64], stride: usize, n: usize) {
-        self.bctx.prepare(self.prog, stride, n);
-        for (lane, slots) in rows.chunks_exact(stride).enumerate() {
-            scatter_lane(&mut self.bctx.slots, n, lane, slots);
-        }
-        let ok = compiled::run_batch(
-            self.prog,
-            self.ctables,
-            &mut self.regs,
-            &self.cur.masks,
-            n,
-            &mut self.bctx,
-            &mut self.undo,
-            &mut self.stage_cost,
-        );
-        match ok {
-            Ok(()) => gather_lane(&self.bctx.slots, n, n - 1, &mut self.cur.slots),
-            // Some lane faulted. The batch's register writes are already
-            // rolled back; replay the packets through the scalar path for
-            // exact per-packet drop/rollback/cost semantics.
-            Err(()) => {
-                for slots in rows.chunks_exact(stride) {
-                    self.step(slots);
-                }
-            }
+        for slots in inputs.chunks_exact(stride) {
+            self.step(slots);
         }
     }
 
@@ -238,56 +175,13 @@ impl<'a> Worker<'a> {
     /// no hashing or gathering — any shard partition executed on a
     /// single register file in trace order is exactly sequential replay).
     fn run_seq(&mut self, trace: &[Phv]) {
-        if self.width >= 2 {
-            let stride = self.cur.masks.len();
-            let mut i = 0;
-            while i < trace.len() {
-                let n = self.width.min(trace.len() - i);
-                let chunk = &trace[i..i + n];
-                self.bctx.prepare(self.prog, stride, n);
-                for (lane, p) in chunk.iter().enumerate() {
-                    scatter_lane(&mut self.bctx.slots, n, lane, &p.slots);
-                }
-                let ok = compiled::run_batch(
-                    self.prog,
-                    self.ctables,
-                    &mut self.regs,
-                    &self.cur.masks,
-                    n,
-                    &mut self.bctx,
-                    &mut self.undo,
-                    &mut self.stage_cost,
-                );
-                match ok {
-                    Ok(()) => gather_lane(&self.bctx.slots, n, n - 1, &mut self.cur.slots),
-                    Err(()) => {
-                        for p in chunk {
-                            self.step(&p.slots);
-                        }
-                    }
-                }
-                i += n;
-            }
-        } else {
-            for p in trace {
-                self.step(&p.slots);
-            }
+        for p in trace {
+            self.step(&p.slots);
         }
     }
 }
 
 impl Switch {
-    /// The batch width the bytecode engine will actually execute with:
-    /// the requested width when the program's register access pattern
-    /// admits instruction-major batching, else `0` (scalar fallback).
-    fn effective_batch_width(&self) -> usize {
-        if self.batch_width >= 2 && self.compiled.batch_safe && !self.masks.is_empty() {
-            self.batch_width
-        } else {
-            0
-        }
-    }
-
     /// Replay `trace` (inputs built with [`Switch::make_packet`]) and
     /// return throughput + drop + per-stage-cost telemetry. `threads = 0`
     /// uses every available core; `threads = 1` runs in place with the
@@ -315,46 +209,17 @@ impl Switch {
         let start = Instant::now();
 
         let mut dropped = 0u64;
-        let mut used_width = 0usize;
         let mut occupancy = 1.0f64;
         if threads == 1 || self.masks.is_empty() {
-            let width = match self.backend {
-                // The native engine's batched FFI entry is scalar inside;
-                // it needs no batch-safety analysis.
-                Backend::Native if self.batch_width >= 2 => self.batch_width,
-                Backend::Compiled => self.effective_batch_width(),
-                _ => 0,
-            };
-            let mut scalar = true;
-            if width >= 2 {
-                match self.backend {
-                    Backend::Native => {
-                        if let Some(d) = self.run_trace_native_batched(trace, width) {
-                            dropped = d;
-                            used_width = width;
-                            scalar = false;
-                        }
-                    }
-                    Backend::Compiled => {
-                        dropped = self.run_trace_batched(trace, width);
-                        used_width = width;
-                        scalar = false;
-                    }
-                    _ => {}
-                }
-            }
-            if scalar {
-                for input in trace {
-                    self.cur.slots.copy_from_slice(&input.slots);
-                    // `run_packet` rolls the faulting packet's register
-                    // writes back before returning the error.
-                    if self.run_packet().is_err() {
-                        dropped += 1;
-                    }
+            for input in trace {
+                self.cur.slots.copy_from_slice(&input.slots);
+                // `run_packet` rolls the faulting packet's register
+                // writes back before returning the error.
+                if self.run_packet().is_err() {
+                    dropped += 1;
                 }
             }
         } else {
-            used_width = self.effective_batch_width();
             let (d, occ) = self.run_trace_sharded(trace, threads, threads);
             dropped = d;
             occupancy = occ;
@@ -364,52 +229,10 @@ impl Switch {
             packets: trace.len() as u64,
             dropped,
             threads,
-            batch_width: used_width,
             overlap_occupancy: occupancy,
             elapsed: start.elapsed(),
             stage_cost: self.stage_cost.clone(),
         }
-    }
-
-    /// Single-thread SoA batch replay against the live register file.
-    fn run_trace_batched(&mut self, trace: &[Phv], width: usize) -> u64 {
-        let stride = self.masks.len();
-        let mut bctx = BatchCtx::default();
-        let mut dropped = 0u64;
-        let mut i = 0;
-        while i < trace.len() {
-            let n = width.min(trace.len() - i);
-            let chunk = &trace[i..i + n];
-            bctx.prepare(&self.compiled, stride, n);
-            for (lane, p) in chunk.iter().enumerate() {
-                scatter_lane(&mut bctx.slots, n, lane, &p.slots);
-            }
-            let ok = compiled::run_batch(
-                &self.compiled,
-                &self.ctables,
-                &mut self.registers,
-                &self.masks,
-                n,
-                &mut bctx,
-                &mut self.undo,
-                &mut self.stage_cost,
-            );
-            match ok {
-                Ok(()) => gather_lane(&bctx.slots, n, n - 1, &mut self.cur.slots),
-                // A lane faulted: the batch is rolled back; replay its
-                // packets scalar for exact per-packet drop semantics.
-                Err(()) => {
-                    for p in chunk {
-                        self.cur.slots.copy_from_slice(&p.slots);
-                        if self.run_packet().is_err() {
-                            dropped += 1;
-                        }
-                    }
-                }
-            }
-            i += n;
-        }
-        dropped
     }
 
     /// Sharded replay: pipelined hash + gather on the main thread,
@@ -426,7 +249,6 @@ impl Switch {
         let ctables = &self.ctables;
         let masks = &self.masks;
         let stages = self.stage_cost.len();
-        let width = if self.batch_width >= 2 && prog.batch_safe { self.batch_width } else { 0 };
         let registers = &mut self.registers;
         let stage_cost = &mut self.stage_cost;
         let final_phv = &mut self.cur;
@@ -436,7 +258,7 @@ impl Switch {
             // the shard partition is irrelevant: run the trace in order
             // with no hashing or gathering. The delta-sum merge below is
             // still exact (one worker holds every flow's state).
-            let mut worker = Worker::new(prog, ctables, &base, masks, stages, width);
+            let mut worker = Worker::new(prog, ctables, &base, masks, stages);
             worker.run_seq(trace);
             for (ri, reg) in registers.iter_mut().enumerate() {
                 for (ci, cell) in reg.cells.iter_mut().enumerate() {
@@ -473,7 +295,7 @@ impl Switch {
                     // thread-locally.
                     let spawned = Instant::now();
                     let mut busy = Duration::ZERO;
-                    let mut worker = Worker::new(prog, ctables, base_ref, masks, stages, width);
+                    let mut worker = Worker::new(prog, ctables, base_ref, masks, stages);
                     while let Ok(seg) = rx.recv() {
                         let t = Instant::now();
                         worker.run_packed(&seg, stride);
@@ -633,9 +455,7 @@ mod tests {
 
     /// Two independent registers: `a` counts every packet, `b[hdr.i]`
     /// faults when `i` is out of bounds — the faulting packet's increment
-    /// of `a` must be rolled back. Also batch-*unsafe*: `a` is written by
-    /// one statement and read back by another, so instruction-major
-    /// execution would interleave lanes across that dependency.
+    /// of `a` must be rolled back.
     const FAULTY_IDX: &str = r#"
         header h { bit<32> x; bit<32> i; }
         struct metadata { bit<32> t; }
@@ -735,27 +555,6 @@ mod tests {
         }
     }
 
-    /// Batched sharded workers (pinned multi-worker path) merge to the
-    /// same state as sequential scalar replay.
-    #[test]
-    fn batched_sharded_replay_matches_sequential() {
-        let mut seq = build(CMS);
-        let trace = cms_trace(&seq, 400);
-        seq.run_trace(&trace, 1);
-        for width in [2, 7, 64] {
-            let mut par = build(CMS);
-            par.set_batch_width(width);
-            let trace = cms_trace(&par, 400);
-            let (dropped, _) = par.run_trace_sharded(&trace, 4, 2);
-            assert_eq!(dropped, 0);
-            assert_eq!(
-                seq.registers_snapshot(),
-                par.registers_snapshot(),
-                "batched sharded replay diverges at width {width}"
-            );
-        }
-    }
-
     #[test]
     fn stats_report_stage_cost_and_rate() {
         let mut sw = build(CMS);
@@ -764,79 +563,7 @@ mod tests {
         assert_eq!(stats.stage_cost.len(), sw.stage_count());
         assert!(stats.total_cost() > 0, "cost telemetry must be populated");
         assert!(stats.pkts_per_sec() > 0.0);
-        assert_eq!(stats.batch_width, 0, "no batch width requested");
         assert_eq!(stats.overlap_occupancy, 1.0, "single-threaded replay");
-    }
-
-    /// Batched replay is bit-identical to scalar replay: registers, final
-    /// PHV, and per-stage cost — across widths that do and do not divide
-    /// the trace length.
-    #[test]
-    fn batched_replay_matches_scalar_bit_for_bit() {
-        let mut scalar = build(CMS);
-        let trace = cms_trace(&scalar, 50);
-        let sstats = scalar.run_trace(&trace, 1);
-        for width in [1, 2, 3, 7, 64] {
-            let mut batched = build(CMS);
-            batched.set_batch_width(width);
-            let trace = cms_trace(&batched, 50);
-            let bstats = batched.run_trace(&trace, 1);
-            assert_eq!(bstats.dropped, 0);
-            assert_eq!(bstats.batch_width, if width >= 2 { width } else { 0 });
-            assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot(), "w={width}");
-            assert_eq!(scalar.phv_snapshot(), batched.phv_snapshot(), "w={width}");
-            assert_eq!(sstats.stage_cost, bstats.stage_cost, "w={width}");
-        }
-    }
-
-    /// A faulting lane rolls the whole batch back and the scalar replay
-    /// reproduces exact per-packet drop + rollback semantics.
-    #[test]
-    fn batched_replay_with_faults_matches_scalar() {
-        let mut scalar = build(FAULTY_DIV);
-        let trace: Vec<Phv> = (0..20u64)
-            .map(|p| {
-                let y = if p % 10 == 3 { 0 } else { 2 };
-                scalar.make_packet(&[("x", 100 + p), ("y", y)]).unwrap()
-            })
-            .collect();
-        let sstats = scalar.run_trace(&trace, 1);
-        assert_eq!(sstats.dropped, 2);
-
-        let mut batched = build(FAULTY_DIV);
-        batched.set_batch_width(4);
-        let bstats = batched.run_trace(&trace, 1);
-        assert_eq!(bstats.batch_width, 4, "FAULTY_DIV is batch-safe");
-        assert_eq!(bstats.dropped, 2);
-        assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
-        assert_eq!(sstats.stage_cost, bstats.stage_cost);
-        assert_eq!(batched.read_register("a", 0, 0).unwrap(), 18);
-    }
-
-    /// A program whose register dataflow rules out instruction-major
-    /// execution falls back to the scalar loop — and says so in stats.
-    #[test]
-    fn batch_unsafe_program_falls_back_to_scalar() {
-        let mut scalar = build(FAULTY_IDX);
-        let mk = |sw: &Switch| -> Vec<Phv> {
-            (0..10u64)
-                .map(|p| {
-                    let i = if p == 5 { 9 } else { p % 4 };
-                    sw.make_packet(&[("x", p), ("i", i)]).unwrap()
-                })
-                .collect()
-        };
-        let trace = mk(&scalar);
-        scalar.run_trace(&trace, 1);
-
-        let mut batched = build(FAULTY_IDX);
-        batched.set_batch_width(8);
-        let trace = mk(&batched);
-        let stats = batched.run_trace(&trace, 1);
-        assert_eq!(stats.batch_width, 0, "FAULTY_IDX must fall back to scalar");
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(scalar.registers_snapshot(), batched.registers_snapshot());
-        assert_eq!(batched.read_register("a", 0, 0).unwrap(), 9);
     }
 
     #[test]

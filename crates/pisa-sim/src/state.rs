@@ -93,27 +93,6 @@ impl Phv {
     }
 }
 
-/// Scatter a packet's slot row into column `lane` of a column-major SoA
-/// matrix (`slot s` of lane `l` at `soa[s * n + l]`, `n` lanes total) —
-/// the gather half of batched replay.
-pub(crate) fn scatter_lane(soa: &mut [u64], n: usize, lane: usize, slots: &[u64]) {
-    debug_assert_eq!(soa.len(), slots.len() * n);
-    debug_assert!(lane < n);
-    for (s, &v) in slots.iter().enumerate() {
-        soa[s * n + lane] = v;
-    }
-}
-
-/// Read column `lane` of a column-major SoA matrix back into a slot row —
-/// the inverse of [`scatter_lane`], used to expose a batch's final PHV.
-pub(crate) fn gather_lane(soa: &[u64], n: usize, lane: usize, slots: &mut [u64]) {
-    debug_assert_eq!(soa.len(), slots.len() * n);
-    debug_assert!(lane < n);
-    for (s, v) in slots.iter_mut().enumerate() {
-        *v = soa[s * n + lane];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,7 @@ fn main() {
     let mut sw = Switch::build(&c.concrete, &program).expect("sim builds");
 
     // Skewed flow trace; keys are offset by 1 because 0 marks empty slots.
-    // Batched replay through the bytecode backend: build the input PHVs
+    // Whole-trace replay through the bytecode backend: build the input PHVs
     // once, then push the whole trace through the pipeline.
     let trace = zipf_trace(5_000, 1.1, 100_000, 21);
     let packets: Vec<_> = trace
